@@ -285,8 +285,9 @@ pub trait EngineJoin: Send + Sync {
 
 /// Adapter: a registered FUDJ algorithm as an [`EngineJoin`].
 ///
-/// Carries the per-call [`Value`] → [`fudj_types::ExtValue`] translation and
-/// counts every crossing of the boundary.
+/// Carries the [`Value`] → [`fudj_types::ExtValue`] translation and counts
+/// every crossing of the boundary. COMBINE translates each key once per
+/// matched bucket pair, not once per verified pair.
 pub struct FudjEngineJoin {
     alg: Arc<dyn JoinAlgorithm>,
     translations: AtomicU64,
@@ -424,6 +425,32 @@ impl EngineJoin for FudjEngineJoin {
             DedupMode::Custom => self.alg.dedup(b1, &e1, b2, &e2, pplan),
             _ => avoidance_accepts(self.alg.as_ref(), b1, &e1, b2, &e2, pplan),
         }
+    }
+
+    /// Each key of the bucket pair crosses the boundary once; the library
+    /// then verifies every pair through [`JoinAlgorithm::verify_pairs`].
+    fn local_join_pairs(
+        &self,
+        b1: BucketId,
+        left_keys: &[Value],
+        b2: BucketId,
+        right_keys: &[Value],
+        pplan: &PPlanState,
+        emit: &mut dyn FnMut(usize, usize),
+    ) -> Result<()> {
+        // No pairs: translate nothing, as the per-pair loop would.
+        if left_keys.is_empty() || right_keys.is_empty() {
+            return Ok(());
+        }
+        self.translations.fetch_add(
+            (left_keys.len() + right_keys.len()) as u64,
+            Ordering::Relaxed,
+        );
+        let translate = |keys: &[Value]| -> Result<Vec<fudj_types::ExtValue>> {
+            keys.iter().map(ext::to_external).collect()
+        };
+        let (left, right) = (translate(left_keys)?, translate(right_keys)?);
+        self.alg.verify_pairs(b1, &left, b2, &right, pplan, emit)
     }
 
     fn guard(&self) -> Option<&crate::guard::GuardHandle> {
@@ -577,7 +604,25 @@ mod tests {
         assert!(ej
             .verify(2, &Value::Int64(18), 2, &Value::Int64(18), &plan)
             .unwrap());
-        assert!(ej.translation_count() >= 4);
+        assert_eq!(ej.translation_count(), 4);
+
+        // A PARTITION slice and a COMBINE bucket pair translate each key
+        // once: 3 keys, then 2 + 3 keys for 6 verified pairs.
+        let keys = [Value::Int64(1), Value::Int64(17), Value::Int64(2)];
+        let mut buckets = Vec::new();
+        ej.assign_slice(Side::Left, &keys.each_ref(), &plan, &mut |i, b| {
+            buckets.push((i, b.to_vec()))
+        })
+        .unwrap();
+        assert_eq!(buckets, vec![(0, vec![1]), (1, vec![1]), (2, vec![2])]);
+        assert_eq!(ej.translation_count(), 7);
+        let mut pairs = Vec::new();
+        ej.local_join_pairs(1, &keys[..2], 1, &keys, &plan, &mut |i, j| {
+            pairs.push((i, j))
+        })
+        .unwrap();
+        assert_eq!(pairs, vec![(0, 0), (1, 1)]);
+        assert_eq!(ej.translation_count(), 12);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use fudj_types::{ExtValue, FudjError, Result};
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
@@ -279,6 +279,9 @@ struct UdfCells {
     /// Deferred violation from a callback that cannot return `Result`
     /// (`matches`); surfaced by the next fallible call or by `check()`.
     pending: Mutex<Option<FudjError>>,
+    /// Raised (under the `pending` lock) once a violation is deferred, so
+    /// the per-call check reads one atomic instead of taking the lock.
+    has_pending: AtomicBool,
     /// Sampled summaries for the associativity probe, per side.
     assoc_samples: Mutex<[Vec<SummaryState>; 2]>,
     assoc_checked: [AtomicU64; 2],
@@ -383,8 +386,8 @@ impl GuardHandle {
     /// `Result` (`matches`). Engines call this at the end of each guarded
     /// join so no violation is silently swallowed.
     pub fn check(&self) -> Result<()> {
-        match &*self.cells.pending.lock().expect("guard pending lock") {
-            Some(e) => Err(e.clone()),
+        match self.pending() {
+            Some(e) => Err(e),
             None => Ok(()),
         }
     }
@@ -451,10 +454,15 @@ impl GuardHandle {
         let mut slot = self.cells.pending.lock().expect("guard pending lock");
         if slot.is_none() {
             *slot = Some(err);
+            self.cells.has_pending.store(true, Ordering::Release);
         }
     }
 
+    /// The deferred violation, if any. Lock-free until one is deferred.
     fn pending(&self) -> Option<FudjError> {
+        if !self.cells.has_pending.load(Ordering::Acquire) {
+            return None;
+        }
         self.cells
             .pending
             .lock()
@@ -855,7 +863,79 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         k2: &ExtValue,
         pplan: &PPlanState,
     ) -> Result<bool> {
-        let site_hash = fold(fold(fold(ext_hash(k1), ext_hash(k2)), b1), b2);
+        self.verify_hashed(b1, k1, ext_hash(k1), b2, k2, ext_hash(k2), pplan)
+    }
+
+    /// Per-pair guard semantics, with each key hashed once per bucket pair
+    /// instead of once per pair.
+    fn verify_pairs(
+        &self,
+        b1: BucketId,
+        left: &[ExtValue],
+        b2: BucketId,
+        right: &[ExtValue],
+        pplan: &PPlanState,
+        emit: &mut dyn FnMut(usize, usize),
+    ) -> Result<()> {
+        let right_hashes: Vec<u64> = right.iter().map(ext_hash).collect();
+        for (i, k1) in left.iter().enumerate() {
+            let h1 = ext_hash(k1);
+            for (j, (k2, &h2)) in right.iter().zip(&right_hashes).enumerate() {
+                if self.verify_hashed(b1, k1, h1, b2, k2, h2, pplan)? {
+                    emit(i, j);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn dedup_mode(&self) -> DedupMode {
+        self.inner.dedup_mode()
+    }
+
+    fn dedup(
+        &self,
+        b1: BucketId,
+        k1: &ExtValue,
+        b2: BucketId,
+        k2: &ExtValue,
+        pplan: &PPlanState,
+    ) -> Result<bool> {
+        let site_hash = fold(fold(fold(ext_hash(k1), ext_hash(k2)), b1 + 7), b2 + 7);
+        self.guarded(
+            Phase::Dedup,
+            site_hash,
+            || format!("pair ({}, {})", short(k1), short(k2)),
+            || Some(false), // quarantine: suppress the emission
+            || self.inner.dedup(b1, k1, b2, k2, pplan),
+        )
+    }
+
+    fn declared_buckets(&self, pplan: &PPlanState) -> Option<BucketId> {
+        self.inner.declared_buckets(pplan)
+    }
+
+    fn guard(&self) -> Option<&GuardHandle> {
+        Some(&self.handle)
+    }
+}
+
+impl<J: JoinAlgorithm> GuardedJoin<J> {
+    /// The guarded `verify` of one pair, given both keys' [`ext_hash`]:
+    /// panic isolation, the call budget and the sampled symmetry probe,
+    /// keyed by the same site hash as an unbatched call.
+    #[allow(clippy::too_many_arguments)]
+    fn verify_hashed(
+        &self,
+        b1: BucketId,
+        k1: &ExtValue,
+        h1: u64,
+        b2: BucketId,
+        k2: &ExtValue,
+        h2: u64,
+        pplan: &PPlanState,
+    ) -> Result<bool> {
+        let site_hash = fold(fold(fold(h1, h2), b1), b2);
         let site = || format!("pair ({}, {})", short(k1), short(k2));
         let accepted = self.guarded(
             Phase::Verify,
@@ -893,38 +973,6 @@ impl<J: JoinAlgorithm> JoinAlgorithm for GuardedJoin<J> {
         Ok(accepted)
     }
 
-    fn dedup_mode(&self) -> DedupMode {
-        self.inner.dedup_mode()
-    }
-
-    fn dedup(
-        &self,
-        b1: BucketId,
-        k1: &ExtValue,
-        b2: BucketId,
-        k2: &ExtValue,
-        pplan: &PPlanState,
-    ) -> Result<bool> {
-        let site_hash = fold(fold(fold(ext_hash(k1), ext_hash(k2)), b1 + 7), b2 + 7);
-        self.guarded(
-            Phase::Dedup,
-            site_hash,
-            || format!("pair ({}, {})", short(k1), short(k2)),
-            || Some(false), // quarantine: suppress the emission
-            || self.inner.dedup(b1, k1, b2, k2, pplan),
-        )
-    }
-
-    fn declared_buckets(&self, pplan: &PPlanState) -> Option<BucketId> {
-        self.inner.declared_buckets(pplan)
-    }
-
-    fn guard(&self) -> Option<&GuardHandle> {
-        Some(&self.handle)
-    }
-}
-
-impl<J: JoinAlgorithm> GuardedJoin<J> {
     /// Probe merge associativity once per side, as soon as three summaries
     /// have been sampled: `(a ⊕ b) ⊕ c` and `a ⊕ (b ⊕ c)` must agree. The
     /// states are opaque, so agreement is compared on the serialized size —
@@ -1320,6 +1368,38 @@ mod tests {
         .unwrap();
         assert_eq!(pairs, vec![(1, 0)], "only 2 = 2 survives outside bucket 1");
         assert!(stats.match_violations >= 1);
+    }
+
+    #[test]
+    fn deferred_matches_panic_aborts_the_next_guarded_call() {
+        let guard = GuardedJoin::new(Wild::new(Bad::PanicMatches), GuardConfig::default());
+        let none = guard.new_summary(Side::Left);
+        let pplan = guard.divide(&none, &none, &[]).unwrap();
+        let keys = longs(&[2, 2]);
+        let mut accepted = 0;
+        guard
+            .verify_pairs(2, &keys, 2, &keys, &pplan, &mut |_, _| accepted += 1)
+            .unwrap();
+        assert_eq!(accepted, 4, "nothing deferred yet: calls go through");
+
+        // The panic is deferred on another worker thread; the lock-free
+        // pending flag must still stop every later call on this one.
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(!guard.matches(1, 1)));
+        });
+        let errors = [
+            guard.verify(2, &keys[0], 2, &keys[1], &pplan).unwrap_err(),
+            guard
+                .verify_pairs(2, &keys, 2, &keys, &pplan, &mut |_, _| accepted += 1)
+                .unwrap_err(),
+            guard.handle().check().unwrap_err(),
+        ];
+        for err in errors {
+            let (phase, detail) = phase_of(err);
+            assert_eq!(phase, "match");
+            assert!(detail.contains("matches kaboom"), "{detail}");
+        }
+        assert_eq!(accepted, 4, "no pair verified after the deferral");
     }
 
     #[test]

@@ -142,6 +142,31 @@ pub trait JoinAlgorithm: Send + Sync {
         pplan: &PPlanState,
     ) -> Result<bool>;
 
+    /// Verify every pair of one matched bucket pair, calling `emit(i, j)`
+    /// for each accepted `(left[i], right[j])` in row-major order. Engines
+    /// call this once per bucket pair so each key crosses the boundary
+    /// once, not once per pair. The default is the nested loop over
+    /// [`Self::verify`]; an override must keep its pairs, order and first
+    /// error.
+    fn verify_pairs(
+        &self,
+        b1: BucketId,
+        left: &[ExtValue],
+        b2: BucketId,
+        right: &[ExtValue],
+        pplan: &PPlanState,
+        emit: &mut dyn FnMut(usize, usize),
+    ) -> Result<()> {
+        for (i, k1) in left.iter().enumerate() {
+            for (j, k2) in right.iter().enumerate() {
+                if self.verify(b1, k1, b2, k2, pplan)? {
+                    emit(i, j);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Duplicate-handling strategy.
     fn dedup_mode(&self) -> DedupMode {
         DedupMode::Avoidance
@@ -244,6 +269,17 @@ macro_rules! forward_join_algorithm {
                 pplan: &PPlanState,
             ) -> Result<bool> {
                 (**self).verify(b1, k1, b2, k2, pplan)
+            }
+            fn verify_pairs(
+                &self,
+                b1: BucketId,
+                left: &[ExtValue],
+                b2: BucketId,
+                right: &[ExtValue],
+                pplan: &PPlanState,
+                emit: &mut dyn FnMut(usize, usize),
+            ) -> Result<()> {
+                (**self).verify_pairs(b1, left, b2, right, pplan, emit)
             }
             fn dedup_mode(&self) -> DedupMode {
                 (**self).dedup_mode()

@@ -762,9 +762,12 @@ mod tests {
     use crate::interval::IntervalFudj;
     use crate::spatial::SpatialFudj;
     use crate::textsim::TextSimilarityFudj;
-    use fudj_core::{reference_execute, FudjEngineJoin, ProxyJoin};
+    use fudj_core::{reference_execute, FudjEngineJoin, JoinAlgorithm, ProxyJoin};
     use fudj_geo::{Point, Polygon};
+    use fudj_types::ext::to_external;
+    use fudj_types::ExtValue;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     fn spatial_workload(seed: u64) -> (Vec<Value>, Vec<Value>) {
@@ -801,9 +804,68 @@ mod tests {
         let flexible = reference_execute(&fudj, &parks, &fires, &params).unwrap();
         assert_eq!(builtin, flexible);
         assert!(!builtin.is_empty(), "fixture should produce matches");
+
+        // Exact boundary traffic, replayed on the untranslated algorithm:
+        // SUMMARIZE and PARTITION translate every key once, DIVIDE every
+        // parameter, COMBINE every key once per matched bucket pair, and
+        // avoidance dedup both keys of every verified pair.
+        let alg = ProxyJoin::new(SpatialFudj::new());
+        assert!(alg.uses_default_match());
+        assert_eq!(alg.dedup_mode(), DedupMode::Avoidance);
+        let ext = |vs: &[Value]| -> Vec<ExtValue> {
+            vs.iter().map(|v| to_external(v).unwrap()).collect()
+        };
+        let (lkeys, rkeys) = (ext(&parks), ext(&fires));
+        let summarize = |side: Side, keys: &[ExtValue]| {
+            let mut s = alg.new_summary(side);
+            for k in keys {
+                alg.local_aggregate(side, k, &mut s).unwrap();
+            }
+            s
+        };
+        let pplan = alg
+            .divide(
+                &summarize(Side::Left, &lkeys),
+                &summarize(Side::Right, &rkeys),
+                &ext(&params),
+            )
+            .unwrap();
+        let bucketize = |side: Side, keys: &[ExtValue]| {
+            let mut m: BTreeMap<BucketId, Vec<usize>> = BTreeMap::new();
+            for (i, k) in keys.iter().enumerate() {
+                let mut out = Vec::new();
+                alg.assign(side, k, &pplan, &mut out).unwrap();
+                out.sort_unstable();
+                out.dedup();
+                for b in out {
+                    m.entry(b).or_default().push(i);
+                }
+            }
+            m
+        };
+        let (lb, rb) = (
+            bucketize(Side::Left, &lkeys),
+            bucketize(Side::Right, &rkeys),
+        );
+        let (mut combine, mut pairs, mut verified) = (0, 0, 0);
+        for (b, ls) in &lb {
+            let Some(rs) = rb.get(b) else { continue };
+            combine += ls.len() + rs.len();
+            pairs += ls.len() * rs.len();
+            for &i in ls {
+                for &j in rs {
+                    verified += alg.verify(*b, &lkeys[i], *b, &rkeys[j], &pplan).unwrap() as usize;
+                }
+            }
+        }
+        let n = parks.len() + fires.len();
+        assert_eq!(
+            fudj.translation_count(),
+            (2 * n + params.len() + combine + 2 * verified) as u64
+        );
         assert!(
-            fudj.translation_count() > 0,
-            "FUDJ path crossed the boundary"
+            combine < 2 * pairs,
+            "COMBINE translates per key, not per pair"
         );
     }
 

@@ -5,10 +5,10 @@
 //! [`EvilJoin`] wrapper that forwards to a well-behaved inner algorithm but
 //! misbehaves in one configurable way — panicking, hanging (on the
 //! simulated UDF clock), emitting out-of-range buckets, assigning
-//! non-deterministically, or over-replicating keys. The guard layer
-//! ([`fudj_core::GuardedJoin`]) must turn each of these into a structured
-//! [`fudj_types::FudjError::UdfViolation`], never a poisoned worker pool or
-//! a silently wrong answer.
+//! non-deterministically, over-replicating keys, or verifying
+//! asymmetrically. The guard layer ([`fudj_core::GuardedJoin`]) must turn
+//! each of these into a structured [`fudj_types::FudjError::UdfViolation`],
+//! never a poisoned worker pool or a silently wrong answer.
 //!
 //! Misbehavior is *key-scoped* wherever the callback sees a key: only keys
 //! matched by [`poisoned`] act up, so Quarantine-policy tests can compute an
@@ -110,6 +110,9 @@ pub enum EvilMode {
     NonDeterministicAssign,
     /// Emit every assigned bucket this many extra times.
     OverReplicate(usize),
+    /// Accept every pair whose *left* key is poisoned, so `verify(k1, k2)`
+    /// and `verify(k2, k1)` disagree (breaks the symmetry contract).
+    AsymmetricVerify,
 }
 
 /// A wrapper that forwards to `inner` but misbehaves per [`EvilMode`].
@@ -237,6 +240,9 @@ impl JoinAlgorithm for EvilJoin {
         pplan: &PPlanState,
     ) -> Result<bool> {
         self.sabotage(EvilPhase::Verify, Some(k1));
+        if self.mode == EvilMode::AsymmetricVerify && poisoned(k1) {
+            return Ok(true);
+        }
         self.inner.verify(b1, k1, b2, k2, pplan)
     }
 
@@ -353,10 +359,13 @@ impl JoinAlgorithm for EqualityFudj {
 // -- the library bundle -----------------------------------------------------
 
 /// The adversarial library: every [`EvilMode`] wrapped around
-/// [`EqualityFudj`], registered as CREATE JOIN classes. Hang budgets burn
-/// 60 simulated seconds (any per-call budget under a minute trips);
-/// over-replication emits 64 extra copies (the default per-key cap is
-/// far higher — tests lower it via `WITH (max_buckets_per_key = ...)`).
+/// [`EqualityFudj`], registered as CREATE JOIN classes. The exception is
+/// [`EvilMode::AsymmetricVerify`]: the guard probes symmetry only under
+/// avoidance dedup, which the single-assign [`EqualityFudj`] does not use.
+/// Hang budgets burn 60 simulated seconds (any per-call budget under a
+/// minute trips); over-replication emits 64 extra copies (the default
+/// per-key cap is far higher — tests lower it via
+/// `WITH (max_buckets_per_key = ...)`).
 ///
 /// | class | misbehavior |
 /// |---|---|

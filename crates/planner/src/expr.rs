@@ -134,7 +134,9 @@ impl Expr {
         }
     }
 
-    /// Split a conjunction into its conjuncts (`a AND b AND c` → `[a,b,c]`).
+    /// Split a conjunction into its conjuncts (`a AND b AND c` → `[a,b,c]`),
+    /// folding away constant `true` conjuncts (`true AND a` → `[a]`), such
+    /// as the condition the binder seeds every comma join with.
     pub fn split_conjuncts(self) -> Vec<Expr> {
         match self {
             Expr::Binary {
@@ -146,6 +148,7 @@ impl Expr {
                 out.extend(right.split_conjuncts());
                 out
             }
+            Expr::Literal(Value::Bool(true)) => Vec::new(),
             other => vec![other],
         }
     }
@@ -420,6 +423,16 @@ mod tests {
         assert_eq!(parts.len(), 3);
         assert_eq!(Expr::conjoin(parts).unwrap(), e);
         assert_eq!(Expr::conjoin(vec![]), None);
+    }
+
+    #[test]
+    fn constant_true_conjuncts_fold_away() {
+        let a = Expr::col("a").eq(Expr::lit(1i64));
+        let seeded = Expr::lit(true).and(a.clone()).and(Expr::lit(true));
+        assert_eq!(seeded.split_conjuncts(), vec![a]);
+        assert_eq!(Expr::lit(true).split_conjuncts(), Vec::<Expr>::new());
+        // Only the constant `true` folds; `false` must stay.
+        assert_eq!(Expr::lit(false).split_conjuncts(), vec![Expr::lit(false)]);
     }
 
     #[test]

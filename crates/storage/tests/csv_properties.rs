@@ -5,6 +5,7 @@ use fudj_storage::{read_csv, write_csv, DatasetBuilder};
 use fudj_temporal::Interval;
 use fudj_types::{DataType, Field, Row, Schema, Value};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One row covering all nine CSV-supported types, with independent
 /// nullability per column (except the primary key).
@@ -68,6 +69,19 @@ fn schema() -> fudj_types::SchemaRef {
     ])
 }
 
+/// A fresh temp directory for one case. The process id and a per-process
+/// counter make it unique even when two cases draw the same `case_id`.
+fn case_dir(case_id: u64) -> std::path::PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "fudj-csv-prop-{}-{}-{case_id:x}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir(&dir).unwrap();
+    dir
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -82,13 +96,11 @@ proptest! {
             d.insert(Row::new(r.clone())).unwrap();
         }
 
-        let path = std::env::temp_dir().join(format!(
-            "fudj-csv-prop-{}-{case_id}.csv",
-            std::process::id()
-        ));
+        let dir = case_dir(case_id);
+        let path = dir.join("t.csv");
         write_csv(&d, &path).unwrap();
         let back = read_csv(&path, "t2", schema, "id", 2).unwrap();
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
 
         let mut a = d.all_rows();
         let mut b = back.all_rows();

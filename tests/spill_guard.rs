@@ -17,9 +17,20 @@ use fudj_repro::joins::evil::{EqualityFudj, EvilJoin, EvilMode, EvilPhase};
 use fudj_repro::joins::poisoned;
 use fudj_repro::storage::DatasetBuilder;
 use fudj_repro::types::{ext, DataType, Field, FudjError, Row, Schema, Value};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 const WORKERS: usize = 3;
+
+/// Both tests scan the temp dir for this process's spill files, so one
+/// must not scan while the other has spill files live: they run one at a
+/// time.
+static TEMP_DIR_SCAN: Mutex<()> = Mutex::new(());
+
+fn exclusive_temp_dir() -> MutexGuard<'static, ()> {
+    // A failed assertion in the other test poisons the lock; the guarded
+    // state is empty, so keep going.
+    TEMP_DIR_SCAN.lock().unwrap_or_else(|e| e.into_inner())
+}
 const BUDGET: usize = 16;
 
 /// Spill files created by *this* process and still present on disk.
@@ -85,6 +96,7 @@ fn spilling_plan(mode: EvilMode, tag: &str) -> PhysicalPlan {
 /// are live on disk — must fail the query *and* leave the temp dir clean.
 #[test]
 fn failfast_violation_mid_spill_leaves_no_litter() {
+    let _scan = exclusive_temp_dir();
     // The workload must contain poisoned keys, or the evil join never
     // fires and the test proves nothing.
     assert!(
@@ -132,6 +144,7 @@ fn failfast_violation_mid_spill_leaves_no_litter() {
 /// `assign` aborts the COMBINE while write buffers are still streaming.
 #[test]
 fn failfast_assign_violation_also_leaves_no_litter() {
+    let _scan = exclusive_temp_dir();
     let cluster = Cluster::new(WORKERS);
     let err = match cluster.execute(&spilling_plan(
         EvilMode::PanicIn(EvilPhase::Assign),
