@@ -27,8 +27,8 @@ use fudj_bench::runner::{measure, RunConfig, Strategy};
 use fudj_bench::workloads::Workload;
 use fudj_core::FudjEngineJoin;
 use fudj_exec::{
-    AggFunc, Aggregate, Cluster, CmpOp, ColumnCompare, ExecMode, FaultConfig, FudjJoinNode,
-    MetricsSnapshot, PhysicalPlan, WorkerPool,
+    AggFunc, Aggregate, Cluster, CmpOp, ColumnCompare, ExecMode, ExecOpts, FaultConfig,
+    FudjJoinNode, MetricsSnapshot, PhysicalPlan, WorkerPool,
 };
 use fudj_joins::EqualityFudj;
 use fudj_planner::PlanOptions;
@@ -303,7 +303,7 @@ fn sweep_equality(workers: usize) -> SweepCurve {
         node.memory_budget_rows = budget;
         let start = Instant::now();
         let (batch, metrics) = cluster
-            .execute(&PhysicalPlan::FudjJoin(node))
+            .execute(&PhysicalPlan::FudjJoin(node), ExecOpts::default())
             .expect("equality sweep must run");
         let wall_seconds = start.elapsed().as_secs_f64();
         let metrics = metrics.snapshot();
@@ -443,8 +443,12 @@ fn race_mode(cluster: &Cluster, plan: &PhysicalPlan, mode: ExecMode, rounds: usi
     let mut best = f64::MAX;
     let mut kept = None;
     for _ in 0..rounds {
+        let opts = ExecOpts {
+            mode,
+            ..ExecOpts::default()
+        };
         let start = Instant::now();
-        let (batch, metrics) = cluster.execute_mode(plan, Some(mode)).unwrap();
+        let (batch, metrics) = cluster.execute(plan, opts).unwrap();
         let wall = start.elapsed().as_secs_f64();
         let snap = metrics.snapshot();
         assert_eq!(snap.exec_mode, mode, "executor ignored the mode override");

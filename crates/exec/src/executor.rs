@@ -2,12 +2,14 @@
 
 use crate::aggregate::Accumulator;
 use crate::columnar;
+use crate::control::{DispatchGate, QueryControl};
 use crate::exchange;
 use crate::metrics::QueryMetrics;
 use crate::mode::ExecMode;
 use crate::plan::{Aggregate, PhysicalPlan, SortKey};
 use crate::pool::WorkerPool;
-use crate::recovery::{self, ClusterRecovery, Membership, WorkerInfo};
+use crate::recovery::{self, ClusterRecovery, Membership, QueryTag, WorkerInfo};
+use fudj_core::DedupMode;
 use fudj_storage::{CheckpointPolicy, CheckpointStore};
 use fudj_types::{Batch, DataType, FudjError, Result, Row, Value};
 use std::collections::HashMap;
@@ -15,6 +17,24 @@ use std::sync::Arc;
 
 /// Rows, one vector per worker — the unit of data flow between operators.
 pub type PartitionedData = Vec<Vec<Row>>;
+
+/// How [`Cluster::execute`] runs one plan. The default is columnar
+/// evaluation with no scheduler control and no crash-tolerance tag.
+#[derive(Clone, Default)]
+pub struct ExecOpts {
+    /// Evaluation strategy: per-row closures or typed-column kernels.
+    pub mode: ExecMode,
+    /// The query's cancel token and simulated-clock deadline, when a
+    /// scheduler runs it.
+    pub control: Option<Arc<QueryControl>>,
+    /// The scheduler's dispatch gate, consulted by the pool before every
+    /// batch. Only takes effect together with `control`.
+    pub gate: Option<Arc<dyn DispatchGate>>,
+    /// Crash-tolerance identity of a journaled query: stable checkpoint
+    /// namespace, `StageCommitted` journal sink, and — when re-running a
+    /// crashed query — the resume point recovered from the journal.
+    pub tag: Option<QueryTag>,
+}
 
 /// A simulated shared-nothing cluster: `workers` nodes, each a persistent
 /// [`WorkerPool`] thread spawned once here and reused by every phase of
@@ -148,69 +168,20 @@ impl Cluster {
         self.membership().snapshot()
     }
 
-    /// Execute a plan and gather the result on the coordinator. The
-    /// evaluation strategy comes from [`ExecMode::from_env`] (columnar
-    /// unless `FUDJ_EXEC_MODE=row`).
-    pub fn execute(&self, plan: &PhysicalPlan) -> Result<(Batch, QueryMetrics)> {
-        self.execute_with(plan, None, None)
-    }
-
-    /// Execute a plan under an explicit evaluation strategy. `None` means
-    /// the environment default — what `SET exec_mode` leaves in place when
-    /// the session never touched the knob.
-    pub fn execute_mode(
-        &self,
-        plan: &PhysicalPlan,
-        mode: Option<ExecMode>,
-    ) -> Result<(Batch, QueryMetrics)> {
-        self.execute_with_mode(plan, None, None, mode.unwrap_or_else(ExecMode::from_env))
-    }
-
-    /// Execute a plan under scheduler control: `control` carries the
-    /// query's cancel token and simulated-clock deadline, `gate` is the
-    /// scheduler's dispatch gate (consulted by the pool before every
-    /// batch). Both `None` is exactly [`Cluster::execute`].
-    pub fn execute_with(
-        &self,
-        plan: &PhysicalPlan,
-        control: Option<Arc<crate::control::QueryControl>>,
-        gate: Option<Arc<dyn crate::control::DispatchGate>>,
-    ) -> Result<(Batch, QueryMetrics)> {
-        self.execute_with_mode(plan, control, gate, ExecMode::from_env())
-    }
-
-    /// The full execution entry point: scheduler control plus an explicit
-    /// evaluation strategy.
-    pub fn execute_with_mode(
-        &self,
-        plan: &PhysicalPlan,
-        control: Option<Arc<crate::control::QueryControl>>,
-        gate: Option<Arc<dyn crate::control::DispatchGate>>,
-        mode: ExecMode,
-    ) -> Result<(Batch, QueryMetrics)> {
-        self.execute_with_opts(plan, control, gate, mode, None)
-    }
-
-    /// [`Cluster::execute_with_mode`] plus an optional [`QueryTag`]: the
-    /// crash-tolerance identity of a journaled query (stable checkpoint
-    /// namespace, `StageCommitted` journal sink, and — when re-running a
-    /// crashed query — the resume point recovered from the journal).
-    pub fn execute_with_opts(
-        &self,
-        plan: &PhysicalPlan,
-        control: Option<Arc<crate::control::QueryControl>>,
-        gate: Option<Arc<dyn crate::control::DispatchGate>>,
-        mode: ExecMode,
-        tag: Option<crate::recovery::QueryTag>,
-    ) -> Result<(Batch, QueryMetrics)> {
+    /// Execute a plan and gather the result on the coordinator — the one
+    /// way to run a plan. `opts` selects the evaluation strategy and, for
+    /// scheduled or journaled queries, carries the control plane and the
+    /// crash-tolerance tag; [`ExecOpts::default`] runs columnar, uncontrolled
+    /// and untagged.
+    pub fn execute(&self, plan: &PhysicalPlan, opts: ExecOpts) -> Result<(Batch, QueryMetrics)> {
         let mut metrics = QueryMetrics::with_config(self.network, self.faults);
-        metrics.set_exec_mode(mode);
-        if let Some(ctrl) = control {
-            metrics.attach_control(ctrl, gate);
+        metrics.set_exec_mode(opts.mode);
+        if let Some(ctrl) = opts.control {
+            metrics.attach_control(ctrl, opts.gate);
         }
         if let Some(rec) = self
             .recovery
-            .attach_tagged(self.faults.as_ref(), tag.as_ref())
+            .attach_tagged(self.faults.as_ref(), opts.tag.as_ref())
         {
             metrics.attach_recovery(rec);
         }
@@ -227,7 +198,9 @@ impl Cluster {
     }
 
     /// Execute a plan, leaving the result partitioned across workers.
-    pub fn execute_partitioned(
+    /// [`stage_count`] counts the pool batches these arms dispatch; keep
+    /// the two in step.
+    pub(crate) fn execute_partitioned(
         &self,
         plan: &PhysicalPlan,
         metrics: &QueryMetrics,
@@ -489,6 +462,56 @@ impl Cluster {
     }
 }
 
+/// Pool batches a fault-free [`Cluster::execute`] of `plan` dispatches,
+/// final gather included — one [`DispatchGate`] enter/exit pair each, so
+/// this is the `stages_total` a scheduled job's progress runs up to. It
+/// mirrors `Cluster::execute_partitioned` and the FUDJ phase driver arm
+/// by arm. A run that replays a stage after a worker death, resumes from
+/// a checkpoint, or falls back to equality after a guard violation
+/// dispatches a different number.
+pub fn stage_count(plan: &PhysicalPlan) -> usize {
+    batches(plan) + 1
+}
+
+/// Batches of a shuffle, rebalance or broadcast: encode, then decode.
+const EXCHANGE_BATCHES: usize = 2;
+
+fn batches(plan: &PhysicalPlan) -> usize {
+    match plan {
+        PhysicalPlan::Scan { .. } => 1,
+        PhysicalPlan::Filter { input, .. }
+        | PhysicalPlan::VecFilter { input, .. }
+        | PhysicalPlan::VecProject { input, .. }
+        | PhysicalPlan::Project { input, .. } => batches(input) + 1,
+        PhysicalPlan::FudjJoin(node) => {
+            let inputs = if node.self_join {
+                batches(&node.left)
+            } else {
+                batches(&node.left) + batches(&node.right)
+            };
+            let summarize = if node.self_join && node.join.symmetric() {
+                1
+            } else {
+                2
+            };
+            let dedup = if node.join.dedup_mode() == DedupMode::Elimination {
+                EXCHANGE_BATCHES + 1
+            } else {
+                0
+            };
+            // Per side: assign, then its exchange; then one combine.
+            inputs + summarize + 2 * (1 + EXCHANGE_BATCHES) + 1 + dedup
+        }
+        PhysicalPlan::NlJoin { left, right, .. } => {
+            batches(left) + batches(right) + EXCHANGE_BATCHES + 1
+        }
+        // Partial aggregate, shuffle, merge.
+        PhysicalPlan::HashAggregate { input, .. } => batches(input) + 1 + EXCHANGE_BATCHES + 1,
+        // One gather to the coordinator.
+        PhysicalPlan::Sort { input, .. } | PhysicalPlan::Limit { input, .. } => batches(input) + 1,
+    }
+}
+
 /// Sort rows by the key list (stable between equal keys).
 pub fn sort_rows(rows: &mut [Row], keys: &[SortKey]) {
     rows.sort_by(|a, b| {
@@ -542,7 +565,7 @@ mod tests {
     #[test]
     fn scan_round_robins_partitions() {
         let cluster = Cluster::new(2);
-        let (batch, _) = cluster.execute(&scan(100, 8)).unwrap();
+        let (batch, _) = cluster.execute(&scan(100, 8), ExecOpts::default()).unwrap();
         assert_eq!(batch.len(), 100);
     }
 
@@ -557,7 +580,7 @@ mod tests {
             mapper: Arc::new(|row| Ok(Row::new(vec![row.get(0).clone()]))),
             schema: Schema::shared(vec![Field::new("id", DataType::Int64)]),
         };
-        let (batch, _) = cluster.execute(&plan).unwrap();
+        let (batch, _) = cluster.execute(&plan, ExecOpts::default()).unwrap();
         assert_eq!(batch.len(), 10);
         assert!(batch.rows().iter().all(|r| r.len() == 1));
     }
@@ -569,7 +592,7 @@ mod tests {
             input: Box::new(scan(50, 4)),
             predicate: Arc::new(|row| row.get(0).as_str().map(|_| true)), // type error
         };
-        assert!(cluster.execute(&plan).is_err());
+        assert!(cluster.execute(&plan, ExecOpts::default()).is_err());
     }
 
     #[test]
@@ -587,7 +610,7 @@ mod tests {
                     Aggregate::on(AggFunc::Max, 0, "mx"),
                 ],
             };
-            let (batch, _) = cluster.execute(&plan).unwrap();
+            let (batch, _) = cluster.execute(&plan, ExecOpts::default()).unwrap();
             assert_eq!(batch.len(), 3, "workers={workers}");
             for row in batch.rows() {
                 let g = row.get(0).as_i64().unwrap();
@@ -611,7 +634,7 @@ mod tests {
             group_by: vec![],
             aggregates: vec![Aggregate::count_star("c")],
         };
-        let (batch, _) = cluster.execute(&plan).unwrap();
+        let (batch, _) = cluster.execute(&plan, ExecOpts::default()).unwrap();
         assert_eq!(batch.len(), 1);
         assert_eq!(batch.rows()[0].get(0), &Value::Int64(25));
     }
@@ -626,7 +649,7 @@ mod tests {
             }),
             limit: 5,
         };
-        let (batch, _) = cluster.execute(&plan).unwrap();
+        let (batch, _) = cluster.execute(&plan, ExecOpts::default()).unwrap();
         let ids: Vec<i64> = batch
             .rows()
             .iter()
@@ -645,7 +668,7 @@ mod tests {
                 Ok(l.get(0).as_i64()? == r.get(0).as_i64()? && l.get(1).as_i64()? == 0)
             }),
         };
-        let (batch, metrics) = cluster.execute(&plan).unwrap();
+        let (batch, metrics) = cluster.execute(&plan, ExecOpts::default()).unwrap();
         // ids ≡ 0 mod 3: 0, 3, 6, 9 → 4 matches.
         assert_eq!(batch.len(), 4);
         assert_eq!(batch.schema().len(), 6);

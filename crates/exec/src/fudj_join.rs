@@ -642,6 +642,7 @@ fn join_bucket_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::ExecOpts;
     use crate::plan::PhysicalPlan;
     use fudj_core::{reference_execute, FudjEngineJoin, ProxyJoin};
     use fudj_geo::{Point, Polygon, Rect};
@@ -749,7 +750,7 @@ mod tests {
                 )))),
                 vec![Value::Int64(8)],
             );
-            let (batch, _) = cluster.execute(&plan).unwrap();
+            let (batch, _) = cluster.execute(&plan, ExecOpts::default()).unwrap();
             assert_eq!(id_pairs(&batch), expected, "workers={workers}");
         }
     }
@@ -767,15 +768,24 @@ mod tests {
             )
         };
         let (b1, _) = cluster
-            .execute(&mk(Arc::new(BuiltinSpatialJoin::new())))
+            .execute(
+                &mk(Arc::new(BuiltinSpatialJoin::new())),
+                ExecOpts::default(),
+            )
             .unwrap();
         let (b2, _) = cluster
-            .execute(&mk(Arc::new(AdvancedSpatialJoin::new())))
+            .execute(
+                &mk(Arc::new(AdvancedSpatialJoin::new())),
+                ExecOpts::default(),
+            )
             .unwrap();
         let (b3, _) = cluster
-            .execute(&mk(Arc::new(FudjEngineJoin::new(Arc::new(
-                ProxyJoin::new(SpatialFudj::new()),
-            )))))
+            .execute(
+                &mk(Arc::new(FudjEngineJoin::new(Arc::new(ProxyJoin::new(
+                    SpatialFudj::new(),
+                ))))),
+                ExecOpts::default(),
+            )
             .unwrap();
         assert_eq!(id_pairs(&b1), id_pairs(&b2));
         assert_eq!(id_pairs(&b1), id_pairs(&b3));
@@ -813,7 +823,7 @@ mod tests {
             )))),
             vec![Value::Int64(32)],
         );
-        let (batch, metrics) = cluster.execute(&plan).unwrap();
+        let (batch, metrics) = cluster.execute(&plan, ExecOpts::default()).unwrap();
         assert_eq!(id_pairs(&batch), expected);
         assert!(
             metrics.snapshot().rows_broadcast > 0,
@@ -856,7 +866,7 @@ mod tests {
             Arc::new(BuiltinIntervalJoin::new()),
             vec![Value::Int64(32)],
         );
-        let (batch2, _) = cluster.execute(&plan2).unwrap();
+        let (batch2, _) = cluster.execute(&plan2, ExecOpts::default()).unwrap();
         assert_eq!(id_pairs(&batch2), expected);
     }
 
@@ -897,8 +907,107 @@ mod tests {
             )))),
             vec![Value::Float64(0.6)],
         );
-        let (batch, _) = cluster.execute(&plan).unwrap();
+        let (batch, _) = cluster.execute(&plan, ExecOpts::default()).unwrap();
         assert_eq!(id_pairs(&batch), expected);
+    }
+
+    /// Counts gate passes: one per pool batch the executor dispatches.
+    struct CountingGate(std::sync::atomic::AtomicUsize);
+
+    impl crate::control::DispatchGate for CountingGate {
+        fn enter(&self, _tasks: usize) -> Result<()> {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(())
+        }
+        fn exit(&self, _tasks: usize) {}
+    }
+
+    /// `stage_count` predicts the gate passes of a fault-free run for
+    /// every join shape: hash and theta partitioning, both dedup modes,
+    /// summarize-once self-joins, and on-top NLJ under aggregate, sort
+    /// and limit.
+    #[test]
+    fn stage_count_equals_gate_passes() {
+        use crate::control::{DispatchGate, QueryControl};
+        use crate::plan::{Aggregate, SortKey};
+        use fudj_joins::SpatialDedup;
+        let (parks, fires) = spatial_values(7, 20, 40);
+        let p = geo_dataset("p", parks, 3);
+        let f = geo_dataset("f", fires, 3);
+        let spatial = |dedup| -> Arc<dyn EngineJoin> {
+            Arc::new(FudjEngineJoin::new(Arc::new(ProxyJoin::new(
+                SpatialFudj::with_dedup(dedup),
+            ))))
+        };
+        let mut self_join = FudjJoinNode::new(
+            PhysicalPlan::Scan { dataset: p.clone() },
+            PhysicalPlan::Scan { dataset: p.clone() },
+            spatial(SpatialDedup::FrameworkAvoidance),
+            1,
+            1,
+            vec![Value::Int64(8)],
+        );
+        self_join.self_join = true;
+        let rides = |name: &str, n: i64| {
+            let spans = (0..n).map(|i| Value::Interval(Interval::new(i * 10, i * 10 + 25)));
+            geo_dataset(name, spans.collect(), 3)
+        };
+        let on_top = PhysicalPlan::NlJoin {
+            left: Box::new(PhysicalPlan::Scan { dataset: p.clone() }),
+            right: Box::new(PhysicalPlan::Scan { dataset: f.clone() }),
+            predicate: Arc::new(|l, r| Ok(l.get(0).as_i64()? == r.get(0).as_i64()?)),
+        };
+        let plans = [
+            fudj_plan(
+                p.clone(),
+                f.clone(),
+                spatial(SpatialDedup::FrameworkAvoidance),
+                vec![Value::Int64(8)],
+            ),
+            fudj_plan(
+                p.clone(),
+                f.clone(),
+                spatial(SpatialDedup::Elimination),
+                vec![Value::Int64(8)],
+            ),
+            PhysicalPlan::FudjJoin(self_join),
+            fudj_plan(
+                rides("a", 30),
+                rides("b", 20),
+                Arc::new(FudjEngineJoin::new(Arc::new(ProxyJoin::new(
+                    IntervalFudj::new(),
+                )))),
+                vec![Value::Int64(16)],
+            ),
+            PhysicalPlan::Limit {
+                input: Box::new(PhysicalPlan::Sort {
+                    input: Box::new(PhysicalPlan::HashAggregate {
+                        input: Box::new(on_top),
+                        group_by: vec![0],
+                        aggregates: vec![Aggregate::count_star("c")],
+                    }),
+                    keys: vec![SortKey::asc(0)],
+                }),
+                limit: 3,
+            },
+        ];
+        for workers in [1, 3] {
+            let cluster = Cluster::new(workers);
+            for (i, plan) in plans.iter().enumerate() {
+                let gate = Arc::new(CountingGate(Default::default()));
+                let opts = ExecOpts {
+                    control: Some(Arc::new(QueryControl::new("count", None))),
+                    gate: Some(gate.clone() as Arc<dyn DispatchGate>),
+                    ..ExecOpts::default()
+                };
+                cluster.execute(plan, opts).unwrap();
+                assert_eq!(
+                    gate.0.load(std::sync::atomic::Ordering::Relaxed),
+                    crate::executor::stage_count(plan),
+                    "plan {i} on {workers} workers"
+                );
+            }
+        }
     }
 
     #[test]
@@ -923,8 +1032,8 @@ mod tests {
             )))),
             vec![Value::Int64(10)],
         );
-        let (b1, m1) = cluster.execute(&avoid).unwrap();
-        let (b2, m2) = cluster.execute(&elim).unwrap();
+        let (b1, m1) = cluster.execute(&avoid, ExecOpts::default()).unwrap();
+        let (b2, m2) = cluster.execute(&elim, ExecOpts::default()).unwrap();
         assert_eq!(id_pairs(&b1), id_pairs(&b2));
         // Elimination pays an extra dedup stage with its own shuffle.
         assert!(m2.snapshot().phase_total("dedup") > std::time::Duration::ZERO);
@@ -953,7 +1062,9 @@ mod tests {
             1,
             vec![Value::Int64(8)],
         );
-        let (plain, _) = cluster.execute(&PhysicalPlan::FudjJoin(node)).unwrap();
+        let (plain, _) = cluster
+            .execute(&PhysicalPlan::FudjJoin(node), ExecOpts::default())
+            .unwrap();
 
         node = FudjJoinNode::new(
             PhysicalPlan::Scan {
@@ -968,7 +1079,9 @@ mod tests {
             vec![Value::Int64(8)],
         );
         node.self_join = true;
-        let (optimized, m_opt) = cluster.execute(&PhysicalPlan::FudjJoin(node)).unwrap();
+        let (optimized, m_opt) = cluster
+            .execute(&PhysicalPlan::FudjJoin(node), ExecOpts::default())
+            .unwrap();
         assert_eq!(id_pairs(&plain), id_pairs(&optimized));
         // A self-join includes every (i, i) pair.
         assert!(id_pairs(&optimized).iter().filter(|(a, b)| a == b).count() >= 25);
@@ -998,10 +1111,16 @@ mod tests {
             PhysicalPlan::FudjJoin(node)
         };
         let (hash, _) = cluster
-            .execute(&mk(crate::plan::CombineStrategy::HashGroup))
+            .execute(
+                &mk(crate::plan::CombineStrategy::HashGroup),
+                ExecOpts::default(),
+            )
             .unwrap();
         let (merge, _) = cluster
-            .execute(&mk(crate::plan::CombineStrategy::SortMerge))
+            .execute(
+                &mk(crate::plan::CombineStrategy::SortMerge),
+                ExecOpts::default(),
+            )
             .unwrap();
         assert_eq!(id_pairs(&hash), id_pairs(&merge));
         assert!(!hash.is_empty());
@@ -1029,9 +1148,9 @@ mod tests {
             node.memory_budget_rows = budget;
             PhysicalPlan::FudjJoin(node)
         };
-        let (in_memory, m1) = cluster.execute(&mk(None)).unwrap();
+        let (in_memory, m1) = cluster.execute(&mk(None), ExecOpts::default()).unwrap();
         // A budget far below the input size forces grace partitioning.
-        let (spilled, m2) = cluster.execute(&mk(Some(10))).unwrap();
+        let (spilled, m2) = cluster.execute(&mk(Some(10)), ExecOpts::default()).unwrap();
         assert_eq!(id_pairs(&in_memory), id_pairs(&spilled));
         assert!(!in_memory.is_empty());
         assert_eq!(m1.snapshot().spilled_rows, 0);
@@ -1067,8 +1186,10 @@ mod tests {
             node.memory_budget_rows = budget;
             PhysicalPlan::FudjJoin(node)
         };
-        let (in_memory, _) = cluster.execute(&mk(None)).unwrap();
-        let (spilled, metrics) = cluster.execute(&mk(Some(budget))).unwrap();
+        let (in_memory, _) = cluster.execute(&mk(None), ExecOpts::default()).unwrap();
+        let (spilled, metrics) = cluster
+            .execute(&mk(Some(budget)), ExecOpts::default())
+            .unwrap();
         assert_eq!(id_pairs(&in_memory), id_pairs(&spilled));
         let s = metrics.snapshot();
         assert!(s.spilled_rows > 0, "workload must actually spill: {s:?}");
@@ -1108,10 +1229,12 @@ mod tests {
             node.spill.fanout = fanout;
             PhysicalPlan::FudjJoin(node)
         };
-        let (in_memory, _) = cluster.execute(&mk(None, 16)).unwrap();
+        let (in_memory, _) = cluster.execute(&mk(None, 16), ExecOpts::default()).unwrap();
         // Fan-out 2 with budget 6: the first pass cannot come close to
         // budget-sized sub-partitions, so correctness depends on recursion.
-        let (spilled, metrics) = cluster.execute(&mk(Some(6), 2)).unwrap();
+        let (spilled, metrics) = cluster
+            .execute(&mk(Some(6), 2), ExecOpts::default())
+            .unwrap();
         assert_eq!(id_pairs(&in_memory), id_pairs(&spilled));
         assert!(!in_memory.is_empty());
         let s = metrics.snapshot();
@@ -1159,8 +1282,8 @@ mod tests {
             node.memory_budget_rows = budget;
             PhysicalPlan::FudjJoin(node)
         };
-        let (in_memory, m1) = cluster.execute(&mk(None)).unwrap();
-        let (spilled, m2) = cluster.execute(&mk(Some(5))).unwrap();
+        let (in_memory, m1) = cluster.execute(&mk(None), ExecOpts::default()).unwrap();
+        let (spilled, m2) = cluster.execute(&mk(Some(5)), ExecOpts::default()).unwrap();
         assert!(!in_memory.is_empty());
         assert_eq!(id_pairs(&in_memory), id_pairs(&spilled));
         assert_eq!(m1.snapshot().spilled_rows, 0);
@@ -1188,7 +1311,7 @@ mod tests {
             )))),
             vec![Value::Int64(12)],
         );
-        let (_, metrics) = cluster.execute(&plan).unwrap();
+        let (_, metrics) = cluster.execute(&plan, ExecOpts::default()).unwrap();
         let s = metrics.snapshot();
         assert!(s.rows_shuffled > 0, "hash partitioning shuffles rows");
         assert_eq!(s.rows_broadcast, 0, "single-join never broadcasts rows");

@@ -61,7 +61,7 @@ pub mod recovery;
 pub mod spill;
 
 pub use control::{DispatchGate, QueryControl};
-pub use executor::{Cluster, PartitionedData};
+pub use executor::{stage_count, Cluster, ExecOpts, PartitionedData};
 pub use fault::{DeliveryFault, FaultContext, FaultStats, TaskFault};
 pub use fudj_core::{
     FaultConfig, GuardConfig, GuardMode, GuardedJoin, RetryPolicy, UdfLimits, UdfPolicy, UdfStats,

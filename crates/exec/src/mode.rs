@@ -35,16 +35,6 @@ impl ExecMode {
             ExecMode::Columnar => "columnar",
         }
     }
-
-    /// Process-wide default: `FUDJ_EXEC_MODE` when set to a valid mode
-    /// (CI's chaos matrix uses this to re-run whole suites columnar or
-    /// row-wise), else [`ExecMode::Columnar`].
-    pub fn from_env() -> ExecMode {
-        std::env::var("FUDJ_EXEC_MODE")
-            .ok()
-            .and_then(|v| ExecMode::parse(&v))
-            .unwrap_or_default()
-    }
 }
 
 impl fmt::Display for ExecMode {

@@ -7,8 +7,8 @@
 use fudj_core::{FudjEngineJoin, GuardConfig, GuardedJoin, JoinAlgorithm, UdfPolicy};
 use fudj_exec::exchange::{gather, rebalance, route_hash, shuffle_by};
 use fudj_exec::{
-    AggFunc, Aggregate, Cluster, FaultConfig, FudjJoinNode, PhysicalPlan, QueryMetrics, SortKey,
-    WorkerPool,
+    AggFunc, Aggregate, Cluster, ExecOpts, FaultConfig, FudjJoinNode, PhysicalPlan, QueryMetrics,
+    SortKey, WorkerPool,
 };
 use fudj_joins::evil::{EqualityFudj, EvilJoin, EvilMode, EvilPhase};
 use fudj_joins::poisoned;
@@ -53,7 +53,7 @@ proptest! {
             input: Box::new(PhysicalPlan::Scan { dataset: dataset(&rows, 3) }),
             predicate: Arc::new(move |row| Ok(row.get(2).as_i64()? >= threshold)),
         };
-        let (batch, _) = Cluster::new(workers).execute(&plan).unwrap();
+        let (batch, _) = Cluster::new(workers).execute(&plan, ExecOpts::default()).unwrap();
         let expected = rows.iter().filter(|r| r.2 >= threshold).count();
         prop_assert_eq!(batch.len(), expected);
     }
@@ -72,7 +72,7 @@ proptest! {
                 Aggregate::on(AggFunc::Avg, 2, "a"),
             ],
         };
-        let (batch, _) = Cluster::new(workers).execute(&plan).unwrap();
+        let (batch, _) = Cluster::new(workers).execute(&plan, ExecOpts::default()).unwrap();
 
         let mut oracle: HashMap<i64, (i64, i64, i64, i64)> = HashMap::new();
         for &(_, g, v) in &rows {
@@ -101,7 +101,7 @@ proptest! {
             input: Box::new(PhysicalPlan::Scan { dataset: dataset(&rows, 5) }),
             keys: vec![SortKey { column: 2, descending: desc }],
         };
-        let (batch, _) = Cluster::new(workers).execute(&plan).unwrap();
+        let (batch, _) = Cluster::new(workers).execute(&plan, ExecOpts::default()).unwrap();
         let got: Vec<i64> = batch.rows().iter().map(|r| r.get(2).as_i64().unwrap()).collect();
         let mut expected: Vec<i64> = rows.iter().map(|r| r.2).collect();
         expected.sort_unstable();
@@ -121,7 +121,7 @@ proptest! {
             }),
             limit: n,
         };
-        let (batch, _) = Cluster::new(workers).execute(&plan).unwrap();
+        let (batch, _) = Cluster::new(workers).execute(&plan, ExecOpts::default()).unwrap();
         prop_assert_eq!(batch.len(), rows.len().min(n));
     }
 
@@ -138,7 +138,7 @@ proptest! {
             right: Box::new(PhysicalPlan::Scan { dataset: dataset(&r, 2) }),
             predicate: Arc::new(|a, b| Ok(a.get(1) == b.get(1))),
         };
-        let (batch, _) = Cluster::new(workers).execute(&plan).unwrap();
+        let (batch, _) = Cluster::new(workers).execute(&plan, ExecOpts::default()).unwrap();
         let expected: usize = l
             .iter()
             .map(|a| r.iter().filter(|b| a.1 == b.1).count())
@@ -215,10 +215,10 @@ proptest! {
         ));
 
         let (b1, m1) = Cluster::new(workers)
-            .execute(&equality_join_plan(&left, &right, unguarded))
+            .execute(&equality_join_plan(&left, &right, unguarded), ExecOpts::default())
             .unwrap();
         let (b2, m2) = Cluster::new(workers)
-            .execute(&equality_join_plan(&left, &right, guarded))
+            .execute(&equality_join_plan(&left, &right, guarded), ExecOpts::default())
             .unwrap();
 
         prop_assert_eq!(sorted_id_pairs(&b1), sorted_id_pairs(&b2));
@@ -271,7 +271,7 @@ proptest! {
             config,
         ));
         let result = Cluster::new(workers)
-            .execute(&equality_join_plan(&left, &right, guarded));
+            .execute(&equality_join_plan(&left, &right, guarded), ExecOpts::default());
         match result {
             Err(FudjError::UdfViolation { ref phase, .. }) => {
                 prop_assert_eq!(phase, expect_phase, "{:?}", mode)
@@ -299,7 +299,7 @@ proptest! {
             GuardConfig::with_policy(UdfPolicy::Quarantine),
         ));
         let (batch, _) = Cluster::new(workers)
-            .execute(&equality_join_plan(&left, &right, guarded))
+            .execute(&equality_join_plan(&left, &right, guarded), ExecOpts::default())
             .unwrap();
         let mut expected: Vec<(i64, i64)> = Vec::new();
         for (i, l) in left.iter().enumerate() {
@@ -444,7 +444,7 @@ proptest! {
         };
         let mut cluster = Cluster::new(workers);
         cluster.set_faults(Some(FaultConfig::chaos(seed)));
-        let (batch, _) = cluster.execute(&plan).unwrap();
+        let (batch, _) = cluster.execute(&plan, ExecOpts::default()).unwrap();
         let expected = rows.iter().filter(|r| r.2 >= threshold).count();
         prop_assert_eq!(batch.len(), expected);
     }

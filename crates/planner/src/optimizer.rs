@@ -41,9 +41,8 @@ pub struct PlanOptions {
     /// Applies to registry-resolved joins only — [`Self::join_overrides`]
     /// are trusted engine strategies and are never wrapped.
     pub guard: GuardMode,
-    /// Execution-mode override (`SET exec_mode = row|columnar`); the
-    /// executor default ([`fudj_exec::ExecMode::from_env`]) applies when
-    /// unset. Plans are identical either way — the mode only selects the
+    /// Execution-mode override (`SET exec_mode = row|columnar`);
+    /// [`fudj_exec::ExecMode::default`] (columnar) applies when unset. Plans are identical either way — the mode only selects the
     /// evaluation strategy at the executor.
     pub exec_mode: Option<fudj_exec::ExecMode>,
 }

@@ -387,7 +387,7 @@ mod tests {
     use crate::logical::{LogicalAggregate, LogicalSortKey};
     use crate::optimize;
     use fudj_datagen::{parks, wildfires, GeneratorConfig};
-    use fudj_exec::{AggFunc, Cluster};
+    use fudj_exec::{AggFunc, Cluster, ExecOpts};
     use fudj_joins::standard_library;
     use fudj_types::DataType;
 
@@ -450,7 +450,7 @@ mod tests {
         let cluster = Cluster::new(3);
 
         let fudj_plan = crate::plan(query1(), &reg, &PlanOptions::default()).unwrap();
-        let (fudj_result, fudj_metrics) = cluster.execute(&fudj_plan).unwrap();
+        let (fudj_result, fudj_metrics) = cluster.execute(&fudj_plan, ExecOpts::default()).unwrap();
 
         let ontop_plan = crate::plan(
             query1(),
@@ -461,7 +461,8 @@ mod tests {
             },
         )
         .unwrap();
-        let (ontop_result, ontop_metrics) = cluster.execute(&ontop_plan).unwrap();
+        let (ontop_result, ontop_metrics) =
+            cluster.execute(&ontop_plan, ExecOpts::default()).unwrap();
 
         assert_eq!(
             fudj_result.schema().to_string(),
@@ -501,9 +502,9 @@ mod tests {
 
         // Both strategies produce identical query answers.
         let cluster = Cluster::new(2);
-        let (builtin_result, _) = cluster.execute(&plan).unwrap();
+        let (builtin_result, _) = cluster.execute(&plan, ExecOpts::default()).unwrap();
         let fudj_plan = crate::plan(query1(), &reg, &PlanOptions::default()).unwrap();
-        let (fudj_result, _) = cluster.execute(&fudj_plan).unwrap();
+        let (fudj_result, _) = cluster.execute(&fudj_plan, ExecOpts::default()).unwrap();
         let mut a = builtin_result.rows().to_vec();
         let mut b = fudj_result.rows().to_vec();
         a.sort();

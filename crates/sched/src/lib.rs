@@ -5,9 +5,6 @@
 //! until the query finishes. This crate multiplexes **many** concurrent
 //! queries over that same shared pool:
 //!
-//! * [`TaskDag`] decomposes a [`fudj_exec::PhysicalPlan`] into its
-//!   per-stage, per-partition task structure — the unit the scheduler
-//!   interleaves and the unit progress is reported in;
 //! * [`Scheduler`] provides admission control (max in-flight queries, an
 //!   aggregate memory-budget-rows quota, a bounded FIFO wait queue),
 //!   weighted round-robin fair-share dispatch across runnable queries,
@@ -23,8 +20,6 @@
 //! own [`fudj_exec::QueryMetrics`]/fault context and every decision the
 //! engine makes is deterministic per query.
 
-pub mod dag;
 pub mod scheduler;
 
-pub use dag::{StageKind, TaskDag, TaskStage};
 pub use scheduler::{JobHandle, JobInfo, JobState, QuerySpec, Scheduler, SchedulerConfig};

@@ -8,8 +8,9 @@
 //! through this crate's [`DispatchGate`], which holds the batch until the
 //! weighted-round-robin policy picks its query and a stage slot is free.
 //! Batches are the engine's natural task boundary (a batch is one stage's
-//! per-partition task fan-out), so interleaving happens exactly where the
-//! task DAG says stages begin.
+//! per-partition task fan-out), so interleaving happens exactly where
+//! stages begin, and [`fudj_exec::stage_count`] predicts how many a job
+//! runs.
 //!
 //! Admission is two-dimensional: at most `max_inflight` queries run at
 //! once, and (optionally) the sum of the running queries' declared
@@ -17,8 +18,9 @@
 //! either limit wait in a bounded FIFO queue; past the queue, submission
 //! fails with [`FudjError::Admission`].
 
-use crate::dag::TaskDag;
-use fudj_exec::{Cluster, DispatchGate, ExecMode, MetricsSnapshot, PhysicalPlan, QueryControl};
+use fudj_exec::{
+    Cluster, DispatchGate, ExecMode, ExecOpts, MetricsSnapshot, PhysicalPlan, QueryControl,
+};
 use fudj_types::{Batch, FudjError, Result};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
@@ -67,8 +69,8 @@ pub struct QuerySpec {
     /// Declared memory appetite, charged against the scheduler's
     /// aggregate quota while the query runs.
     pub memory_budget_rows: Option<u64>,
-    /// Execution-mode override (`SET exec_mode`); the executor default
-    /// ([`ExecMode::from_env`]) applies when unset.
+    /// Execution-mode override (`SET exec_mode`); [`ExecMode::default`]
+    /// applies when unset.
     pub exec_mode: Option<ExecMode>,
     /// Crash-tolerance identity of a journaled query: stable checkpoint
     /// namespace, stage-commit journal sink, and an optional resume point
@@ -173,7 +175,8 @@ pub struct JobInfo {
     pub priority: u32,
     /// Stages (pool batches) dispatched so far.
     pub stages_done: usize,
-    /// Stages the task DAG predicts in total.
+    /// Stages a fault-free run dispatches in total
+    /// ([`fudj_exec::stage_count`]).
     pub stages_total: usize,
     /// The query's simulated clock, in milliseconds.
     pub sim_clock_ms: u64,
@@ -533,7 +536,6 @@ impl Scheduler {
         let id = st.next_id;
         st.next_id += 1;
         let ctrl = Arc::new(QueryControl::new(spec.label.clone(), spec.deadline_ms));
-        let dag = TaskDag::from_plan(&spec.plan, self.cluster.workers());
         st.jobs.insert(
             id,
             Job {
@@ -548,7 +550,7 @@ impl Scheduler {
                 credits: priority,
                 waiting: false,
                 budget_rows: budget,
-                stages_total: dag.stage_count(),
+                stages_total: fudj_exec::stage_count(&spec.plan),
                 stages_done: 0,
                 error: None,
                 snapshot: None,
@@ -568,11 +570,20 @@ impl Scheduler {
         let cluster = self.cluster.clone();
         let plan = spec.plan.clone();
         let label = spec.label.clone();
-        let mode = spec.exec_mode.unwrap_or_else(ExecMode::from_env);
-        let tag = spec.tag.clone();
+        let gate = SchedGate {
+            inner: self.inner.clone(),
+            id,
+            ctrl: ctrl.clone(),
+        };
+        let opts = ExecOpts {
+            mode: spec.exec_mode.unwrap_or_default(),
+            control: Some(ctrl.clone()),
+            gate: Some(Arc::new(gate)),
+            tag: spec.tag,
+        };
         std::thread::Builder::new()
             .name(format!("fudj-sched-job-{id}"))
-            .spawn(move || run_job(inner, cluster, plan, id, ctrl, mode, tag, tx))
+            .spawn(move || run_job(inner, cluster, plan, id, ctrl, opts, tx))
             .map_err(|e| FudjError::Execution(format!("failed to spawn job thread: {e}")))?;
         Ok(JobHandle {
             id,
@@ -634,15 +645,13 @@ impl Scheduler {
 /// Body of one job's coordinator thread: wait for admission, execute the
 /// plan under the control plane, classify the outcome, release admission
 /// resources, deliver the result.
-#[allow(clippy::too_many_arguments)]
 fn run_job(
     inner: Arc<SchedInner>,
     cluster: Cluster,
     plan: Arc<PhysicalPlan>,
     id: u64,
     ctrl: Arc<QueryControl>,
-    mode: ExecMode,
-    tag: Option<fudj_exec::QueryTag>,
+    opts: ExecOpts,
     tx: mpsc::Sender<Result<JobOutput>>,
 ) {
     // Admission wait: parked until the FIFO queue hands this job a slot.
@@ -663,13 +672,8 @@ fn run_job(
         }
     }
 
-    let gate: Arc<dyn DispatchGate> = Arc::new(SchedGate {
-        inner: inner.clone(),
-        id,
-        ctrl: ctrl.clone(),
-    });
     let result = cluster
-        .execute_with_opts(&plan, Some(ctrl.clone()), Some(gate), mode, tag)
+        .execute(&plan, opts)
         .map(|(batch, metrics)| (batch, metrics.snapshot()));
 
     let final_state = match &result {
@@ -758,7 +762,7 @@ mod tests {
     fn scheduled_result_matches_serial_execution() {
         let cluster = Cluster::new(3);
         let plan = agg_plan(60);
-        let (serial, serial_metrics) = cluster.execute(&plan).unwrap();
+        let (serial, serial_metrics) = cluster.execute(&plan, ExecOpts::default()).unwrap();
         let sched = Scheduler::new(cluster);
         let (batch, snap) = sched
             .submit(QuerySpec::new(plan, "agg"))
@@ -769,7 +773,7 @@ mod tests {
         assert_eq!(snap.fingerprint(), serial_metrics.snapshot().fingerprint());
         let job = &sched.jobs()[0];
         assert_eq!(job.state, JobState::Done);
-        assert!(job.stages_done > 0);
+        assert_eq!(job.stages_done, job.stages_total);
         assert!(job.sim_clock_ms > 0, "batches advance the simulated clock");
     }
 
@@ -885,7 +889,10 @@ mod tests {
     #[test]
     fn deadline_aborts_and_later_queries_are_unaffected() {
         let cluster = Cluster::new(2);
-        let serial = cluster.execute(&agg_plan(40)).unwrap().0;
+        let serial = cluster
+            .execute(&agg_plan(40), ExecOpts::default())
+            .unwrap()
+            .0;
         let sched = Scheduler::new(cluster);
         // Every fault-free batch advances the simulated clock by
         // SIM_TASK_MS (100 ms); a 150 ms deadline dies at the second
@@ -993,7 +1000,7 @@ mod tests {
         let plans: Vec<Arc<PhysicalPlan>> = (0..6).map(|i| agg_plan(30 + i * 10)).collect();
         let serial: Vec<Vec<Vec<Value>>> = plans
             .iter()
-            .map(|p| sorted_rows(&cluster.execute(p).unwrap().0))
+            .map(|p| sorted_rows(&cluster.execute(p, ExecOpts::default()).unwrap().0))
             .collect();
         let sched = Scheduler::with_config(
             cluster,

@@ -7,8 +7,8 @@ use crate::fingerprint;
 use crate::parser::parse;
 use fudj_core::{GuardConfig, GuardMode, JoinLibrary, JoinRegistry, UdfPolicy};
 use fudj_exec::{
-    Cluster, CounterSeed, ExecMode, MetricsSnapshot, NetworkModel, PhysicalPlan, QueryTag,
-    ResumeSpec, WorkerInfo,
+    Cluster, CounterSeed, ExecMode, ExecOpts, MetricsSnapshot, NetworkModel, PhysicalPlan,
+    QueryTag, ResumeSpec, WorkerInfo,
 };
 use fudj_planner::PlanOptions;
 use fudj_sched::{JobHandle, QuerySpec, Scheduler};
@@ -82,7 +82,7 @@ struct SessionVars {
     spill_fanout: Option<usize>,
     /// Hybrid-hash recursive-repartition depth cap.
     spill_recursion_limit: Option<usize>,
-    /// Execution mode (row vs columnar); the executor default applies
+    /// Execution mode (row vs columnar); [`ExecMode::default`] applies
     /// when unset.
     exec_mode: Option<ExecMode>,
     /// WAL fsync cadence (`SET durability`): 1 = every record, N = every
@@ -511,13 +511,21 @@ impl Session {
 
     /// Re-execute one unfinished journaled query during WAL reopen.
     fn resume_pending(&self, store: &Arc<DurableStore>, query: PendingQuery) -> ResumedQuery {
-        let resumed_from = query
+        // The last committed boundary a restart can resume from.
+        let resume = query
             .committed
             .iter()
             .rev()
             .find(|c| RESUMABLE_STAGES.contains(&c.stage.as_str()))
-            .map(|c| c.stage.clone());
-        let result = self.resume_execute(store, &query);
+            .map(|c| ResumeSpec {
+                stage: c.stage.clone(),
+                seed: CounterSeed {
+                    counters: c.counters.clone(),
+                    phases: c.phases.clone(),
+                },
+            });
+        let resumed_from = resume.as_ref().map(|r| r.stage.clone());
+        let result = self.resume_execute(store, &query, resume);
         ResumedQuery {
             fingerprint: query.fingerprint,
             sql: query.sql,
@@ -527,14 +535,15 @@ impl Session {
     }
 
     /// Plan the journaled SQL under its journaled options and execute it
-    /// with a resume spec pointing at the last committed resumable stage
-    /// (none committed → full replay). Logs `QueryFinished` *before*
-    /// returning the rows: a crash in between re-runs the query on the
-    /// next reopen, but a delivered result is never re-delivered.
+    /// from `resume`, the last committed resumable stage (`None` → full
+    /// replay). Logs `QueryFinished` *before* returning the rows: a crash
+    /// in between re-runs the query on the next reopen, but a delivered
+    /// result is never re-delivered.
     fn resume_execute(
         &self,
         store: &Arc<DurableStore>,
         query: &PendingQuery,
+        resume: Option<ResumeSpec>,
     ) -> Result<(Batch, Box<MetricsSnapshot>)> {
         let sel = match parse(&query.sql)? {
             Statement::Select(sel) => sel,
@@ -563,25 +572,12 @@ impl Session {
         let options = self.options_from_journal(&query.options);
         let logical = bind_select(&sel, &self.catalog)?;
         let physical = fudj_planner::plan(logical, &self.registry, &options)?;
-        let resume = query
-            .committed
-            .iter()
-            .rev()
-            .find(|c| RESUMABLE_STAGES.contains(&c.stage.as_str()))
-            .map(|c| ResumeSpec {
-                stage: c.stage.clone(),
-                seed: CounterSeed {
-                    counters: c.counters.clone(),
-                    phases: c.phases.clone(),
-                },
-            });
         let tag = QueryTag {
             fingerprint: query.fingerprint,
             journal: Some(JournalHook::new(store.clone())),
             resume,
         };
-        let (batch, snapshot) =
-            self.execute_physical_tagged(&physical, options.exec_mode, Some(tag))?;
+        let (batch, snapshot) = self.run_physical(&physical, options.exec_mode, Some(tag))?;
         store.append_journal(
             &WalRecord::QueryFinished {
                 fingerprint: query.fingerprint,
@@ -597,11 +593,7 @@ impl Session {
         let options = self.effective_options();
         let mut pairs = Vec::new();
         if let Some(mode) = options.exec_mode {
-            let name = match mode {
-                ExecMode::Row => "row",
-                ExecMode::Columnar => "columnar",
-            };
-            pairs.push(("exec_mode".to_owned(), name.to_owned()));
+            pairs.push(("exec_mode".to_owned(), mode.as_str().to_owned()));
         }
         if let Some(n) = options.memory_budget_rows {
             pairs.push(("memory_budget_rows".to_owned(), n.to_string()));
@@ -684,30 +676,33 @@ impl Session {
     }
 
     /// Execute an already-planned query on the session's cluster, with
-    /// durability counters stamped in (the path `execute` and the serving
-    /// tier's cache-miss recompute share).
+    /// durability counters stamped in (the path SELECT, EXPLAIN ANALYZE
+    /// and the serving tier's cache-miss recompute share). `None` runs
+    /// [`ExecMode::default`].
     pub fn execute_physical(
         &self,
         physical: &PhysicalPlan,
         exec_mode: Option<ExecMode>,
     ) -> Result<(Batch, MetricsSnapshot)> {
-        self.execute_physical_tagged(physical, exec_mode, None)
+        self.run_physical(physical, exec_mode, None)
     }
 
     /// [`Session::execute_physical`] plus a crash-tolerance [`QueryTag`]:
     /// the tag pins the checkpoint namespace to the statement fingerprint,
     /// routes stage commits into the query journal, and — when resuming —
     /// carries the journal's resume point.
-    pub fn execute_physical_tagged(
+    fn run_physical(
         &self,
         physical: &PhysicalPlan,
         exec_mode: Option<ExecMode>,
         tag: Option<QueryTag>,
     ) -> Result<(Batch, MetricsSnapshot)> {
-        let mode = exec_mode.unwrap_or_else(ExecMode::from_env);
-        let (batch, metrics) = self
-            .cluster
-            .execute_with_opts(physical, None, None, mode, tag)?;
+        let opts = ExecOpts {
+            mode: exec_mode.unwrap_or_default(),
+            tag,
+            ..ExecOpts::default()
+        };
+        let (batch, metrics) = self.cluster.execute(physical, opts)?;
         let mut snapshot = metrics.snapshot();
         if let Some(store) = self.durable() {
             // Durability is session-scoped (one WAL outlives many
@@ -734,13 +729,11 @@ impl Session {
     fn run_select_journaled(&self, sel: &SelectStatement, sql: &str) -> Result<QueryOutput> {
         let physical = self.plan_select(sel)?;
         let exec_mode = self.effective_options().exec_mode;
-        let Some(tag) = self.journal_submit(sql)? else {
-            let (batch, snapshot) = self.execute_physical(&physical, exec_mode)?;
-            return Ok(QueryOutput::Rows(batch, Box::new(snapshot)));
-        };
-        let (batch, snapshot) =
-            self.execute_physical_tagged(&physical, exec_mode, Some(tag.clone()))?;
-        self.journal_finish(&tag)?;
+        let tag = self.journal_submit(sql)?;
+        let (batch, snapshot) = self.run_physical(&physical, exec_mode, tag.clone())?;
+        if let Some(tag) = &tag {
+            self.journal_finish(tag)?;
+        }
         Ok(QueryOutput::Rows(batch, Box::new(snapshot)))
     }
 
@@ -967,9 +960,8 @@ impl Session {
     pub fn submit(&self, sql: &str) -> Result<JobHandle> {
         match parse(sql)? {
             Statement::Select(sel) => {
-                let logical = bind_select(&sel, &self.catalog)?;
+                let physical = self.plan_select(&sel)?;
                 let options = self.effective_options();
-                let physical = fudj_planner::plan(logical, &self.registry, &options)?;
                 let vars = self.vars();
                 let label: String = sql.split_whitespace().collect::<Vec<_>>().join(" ");
                 let label = if label.chars().count() > 48 {
@@ -1043,17 +1035,14 @@ impl Session {
                 self.run_select(&bound)
             }
             Statement::Explain { select, analyze } => {
-                let logical = bind_select(&select, &self.catalog)?;
-                let options = self.effective_options();
-                let physical = fudj_planner::plan(logical, &self.registry, &options)?;
+                let physical = self.plan_select(&select)?;
                 let mut text = physical.explain();
                 if analyze {
                     use std::fmt::Write as _;
                     let start = std::time::Instant::now();
-                    let (batch, metrics) =
-                        self.cluster.execute_mode(&physical, options.exec_mode)?;
+                    let exec_mode = self.effective_options().exec_mode;
+                    let (batch, m) = self.execute_physical(&physical, exec_mode)?;
                     let elapsed = start.elapsed();
-                    let m = metrics.snapshot();
                     let _ = writeln!(text, "---");
                     let _ = writeln!(text, "rows: {}; total: {elapsed:?}", batch.len());
                     for (name, d) in &m.phases {
@@ -1070,8 +1059,8 @@ impl Session {
                         m.dedup_rejections,
                         m.spilled_rows,
                     );
-                    if let Some(store) = self.durable() {
-                        let d = store.stats();
+                    if self.durable().is_some() {
+                        let d = &m.durability;
                         let _ = writeln!(
                             text,
                             "durability: {} wal records ({} bytes), {} fsyncs, \
@@ -1580,6 +1569,55 @@ mod tests {
         assert_eq!(def.memory_budget_rows(), Some(8));
         let batch = s.query("SELECT COUNT(*) FROM kv k").unwrap();
         assert_eq!(batch.rows()[0].get(0).as_i64().unwrap(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn explain_analyze_with_wal_reports_the_select_snapshot() {
+        let dir = wal_test_dir("explain");
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = session();
+        s.execute(
+            r#"CREATE JOIN st_contains(a: polygon, b: point)
+               RETURNS boolean AS "spatial.SpatialJoin" AT flexiblejoins;"#,
+        )
+        .unwrap();
+        s.execute(&format!("SET wal_dir = '{}'", dir.display()))
+            .unwrap();
+        let sql = "SELECT COUNT(*) FROM Parks p, Wildfires w \
+                   WHERE st_contains(p.boundary, w.location)";
+        let out = s.execute(sql).unwrap();
+        let m = out.metrics();
+        let QueryOutput::Plan(text) = s.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap() else {
+            panic!()
+        };
+        let counters = format!(
+            "{} bytes shuffled, {} broadcast, {} state; verify calls: {}; \
+             dedup rejections: {}; spilled rows: {}",
+            m.bytes_shuffled,
+            m.bytes_broadcast,
+            m.state_bytes,
+            m.verify_calls,
+            m.dedup_rejections,
+            m.spilled_rows,
+        );
+        assert!(text.contains(&counters), "want {counters:?} in\n{text}");
+        // Reads are not logged, so the store's counters stand still
+        // between the SELECT and the EXPLAIN ANALYZE.
+        let d = &m.durability;
+        assert!(
+            d.wal_records_appended > 0,
+            "opening the WAL logged the catalog"
+        );
+        let durability = format!(
+            "durability: {} wal records ({} bytes), {} fsyncs, {} snapshots, {} replayed",
+            d.wal_records_appended,
+            d.wal_bytes_appended,
+            d.wal_fsyncs,
+            d.snapshots_written,
+            d.wal_records_replayed,
+        );
+        assert!(text.contains(&durability), "want {durability:?} in\n{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -17,7 +17,7 @@ use fudj_repro::core::standalone::{run_standalone_with_stats, StandaloneStats};
 use fudj_repro::core::{
     reference_execute, BucketId, DedupMode, FlexibleJoin, FudjEngineJoin, ProxyJoin,
 };
-use fudj_repro::exec::{Cluster, FudjJoinNode, PhysicalPlan};
+use fudj_repro::exec::{Cluster, ExecOpts, FudjJoinNode, PhysicalPlan};
 use fudj_repro::storage::DatasetBuilder;
 use fudj_repro::temporal::{GranuleTimeline, Interval, IntervalSummary};
 use fudj_repro::types::{DataType, ExtValue, Field, Result as FudjResult, Row, Schema, Value};
@@ -201,7 +201,7 @@ fn main() {
         1,
         vec![],
     ));
-    let (batch, metrics) = Cluster::new(4).execute(&plan).unwrap();
+    let (batch, metrics) = Cluster::new(4).execute(&plan, ExecOpts::default()).unwrap();
     assert_eq!(batch.len(), truth.len());
     println!(
         "\ndistributed on 4 workers: {} pairs — matches standalone exactly ✔",

@@ -13,7 +13,7 @@ use fudj_repro::core::{
     standalone::run_standalone, EngineJoin, FudjEngineJoin, GuardConfig, GuardedJoin,
     JoinAlgorithm, ProxyJoin, UdfPolicy, UdfStats,
 };
-use fudj_repro::exec::{Cluster, FaultConfig, FaultStats, FudjJoinNode, PhysicalPlan};
+use fudj_repro::exec::{Cluster, ExecOpts, FaultConfig, FaultStats, FudjJoinNode, PhysicalPlan};
 use fudj_repro::geo::{Point, Polygon, Rect};
 use fudj_repro::joins::evil::{EqualityFudj, EvilJoin, EvilMode, EvilPhase};
 use fudj_repro::joins::poisoned;
@@ -191,7 +191,7 @@ fn plan(w: &Workload) -> PhysicalPlan {
 /// Run the workload on `cluster`, returning sorted (left id, right id)
 /// pairs and the fault counters of the run.
 fn run_on(cluster: &Cluster, w: &Workload) -> (Vec<(i64, i64)>, FaultStats) {
-    let (batch, metrics) = cluster.execute(&plan(w)).unwrap();
+    let (batch, metrics) = cluster.execute(&plan(w), ExecOpts::default()).unwrap();
     let mut pairs: Vec<(i64, i64)> = batch
         .rows()
         .iter()
@@ -289,7 +289,7 @@ fn chaos_with_worker_deaths_still_matches_oracle() {
         for &seed in &seeds {
             let cluster = Cluster::with_faults(WORKERS, FaultConfig::chaos_with_deaths(seed));
             cluster.set_checkpoint_policy(CheckpointPolicy::All);
-            let (batch, metrics) = cluster.execute(&plan(&w)).unwrap();
+            let (batch, metrics) = cluster.execute(&plan(&w), ExecOpts::default()).unwrap();
             let mut pairs: Vec<(i64, i64)> = batch
                 .rows()
                 .iter()
@@ -379,7 +379,9 @@ fn quarantined_evil_library_survives_chaos_without_double_counting() {
         ))
     };
     let run = |cluster: &Cluster| -> (Vec<(i64, i64)>, UdfStats) {
-        let (batch, metrics) = cluster.execute(&guarded_plan()).unwrap();
+        let (batch, metrics) = cluster
+            .execute(&guarded_plan(), ExecOpts::default())
+            .unwrap();
         let mut pairs: Vec<(i64, i64)> = batch
             .rows()
             .iter()
@@ -424,11 +426,11 @@ fn quarantined_evil_library_survives_chaos_without_double_counting() {
 fn quiet_fault_plan_changes_nothing() {
     for w in workloads() {
         let unarmed = Cluster::new(WORKERS);
-        let (batch, metrics) = unarmed.execute(&plan(&w)).unwrap();
+        let (batch, metrics) = unarmed.execute(&plan(&w), ExecOpts::default()).unwrap();
         let base = metrics.snapshot();
 
         let quiet = Cluster::with_faults(WORKERS, FaultConfig::quiet(123));
-        let (qbatch, qmetrics) = quiet.execute(&plan(&w)).unwrap();
+        let (qbatch, qmetrics) = quiet.execute(&plan(&w), ExecOpts::default()).unwrap();
         let qsnap = qmetrics.snapshot();
 
         assert_eq!(qsnap.fault, FaultStats::default(), "{}", w.name);

@@ -14,7 +14,7 @@ use fudj_repro::core::{
     UdfStats,
 };
 use fudj_repro::exec::{
-    Cluster, CounterFingerprint, ExecMode, FaultConfig, FudjJoinNode, PhysicalPlan,
+    Cluster, CounterFingerprint, ExecMode, ExecOpts, FaultConfig, FudjJoinNode, PhysicalPlan,
 };
 use fudj_repro::geo::{Point, Polygon, Rect};
 use fudj_repro::joins::evil::{EqualityFudj, EvilJoin, EvilMode, EvilPhase};
@@ -227,7 +227,11 @@ fn run_mode(
     plan: &PhysicalPlan,
     mode: ExecMode,
 ) -> (Vec<Row>, CounterFingerprint) {
-    let (batch, metrics) = cluster.execute_mode(plan, Some(mode)).unwrap();
+    let opts = ExecOpts {
+        mode,
+        ..ExecOpts::default()
+    };
+    let (batch, metrics) = cluster.execute(plan, opts).unwrap();
     let snap = metrics.snapshot();
     assert_eq!(snap.exec_mode, mode, "snapshot must report the pinned mode");
     let mut rows = batch.rows().to_vec();
@@ -356,7 +360,11 @@ fn quarantined_evil_join_agrees_across_modes() {
         ))
     };
     let run = |cluster: &Cluster, mode: ExecMode| -> (Vec<(i64, i64)>, UdfStats) {
-        let (batch, metrics) = cluster.execute_mode(&guarded_plan(), Some(mode)).unwrap();
+        let opts = ExecOpts {
+            mode,
+            ..ExecOpts::default()
+        };
+        let (batch, metrics) = cluster.execute(&guarded_plan(), opts).unwrap();
         let mut pairs: Vec<(i64, i64)> = batch
             .rows()
             .iter()

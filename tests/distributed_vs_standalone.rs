@@ -7,7 +7,7 @@
 use fudj_repro::core::{
     reference_execute, standalone::run_standalone, EngineJoin, FudjEngineJoin, ProxyJoin,
 };
-use fudj_repro::exec::{Cluster, FudjJoinNode, PhysicalPlan};
+use fudj_repro::exec::{Cluster, ExecOpts, FudjJoinNode, PhysicalPlan};
 use fudj_repro::geo::{Point, Polygon, Rect};
 use fudj_repro::joins::{BandJoin, IntervalFudj, SpatialDedup, SpatialFudj, TextSimilarityFudj};
 use fudj_repro::storage::DatasetBuilder;
@@ -54,7 +54,9 @@ fn run_distributed(
         1,
         params,
     ));
-    let (batch, _) = Cluster::new(workers).execute(&plan).unwrap();
+    let (batch, _) = Cluster::new(workers)
+        .execute(&plan, ExecOpts::default())
+        .unwrap();
     let mut pairs: Vec<(i64, i64)> = batch
         .rows()
         .iter()

@@ -19,7 +19,7 @@
 //! replays any matrix deterministically.
 
 use fudj_repro::core::{EngineJoin, FaultConfig, FudjEngineJoin, JoinAlgorithm, ProxyJoin};
-use fudj_repro::exec::{Cluster, FudjJoinNode, PhysicalPlan, RecoveryStats, WorkerState};
+use fudj_repro::exec::{Cluster, ExecOpts, FudjJoinNode, PhysicalPlan, RecoveryStats, WorkerState};
 use fudj_repro::geo::{Point, Polygon, Rect};
 use fudj_repro::joins::{IntervalFudj, SpatialDedup, SpatialFudj};
 use fudj_repro::storage::{CheckpointPolicy, DatasetBuilder};
@@ -157,7 +157,7 @@ fn plan(w: &Workload) -> PhysicalPlan {
 
 /// Sorted (left id, right id) pairs plus the full snapshot of one run.
 fn run_on(cluster: &Cluster, w: &Workload) -> (Vec<(i64, i64)>, fudj_repro::exec::MetricsSnapshot) {
-    let (batch, metrics) = cluster.execute(&plan(w)).unwrap();
+    let (batch, metrics) = cluster.execute(&plan(w), ExecOpts::default()).unwrap();
     let mut pairs: Vec<(i64, i64)> = batch
         .rows()
         .iter()

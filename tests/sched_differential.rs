@@ -15,11 +15,14 @@
 use fudj_repro::core::{
     EngineJoin, FudjEngineJoin, GuardConfig, GuardedJoin, JoinAlgorithm, ProxyJoin, UdfPolicy,
 };
-use fudj_repro::exec::{Cluster, CounterFingerprint, FaultConfig, FudjJoinNode, PhysicalPlan};
+use fudj_repro::exec::{
+    Cluster, CounterFingerprint, ExecMode, ExecOpts, FaultConfig, FudjJoinNode, PhysicalPlan,
+};
 use fudj_repro::geo::{Point, Polygon, Rect};
 use fudj_repro::joins::evil::{EqualityFudj, EvilJoin, EvilMode, EvilPhase};
 use fudj_repro::joins::{IntervalFudj, SpatialDedup, SpatialFudj, TextSimilarityFudj};
 use fudj_repro::sched::{JobState, QuerySpec, Scheduler, SchedulerConfig};
+use fudj_repro::serve::{sample_session, SHAPES};
 use fudj_repro::storage::DatasetBuilder;
 use fudj_repro::temporal::Interval;
 use fudj_repro::types::{DataType, Field, Row, Schema, Value};
@@ -240,7 +243,9 @@ type RunResult = (Vec<Row>, CounterFingerprint);
 
 /// Serial baseline: one query at a time on a dedicated cluster.
 fn run_serial(cluster: &Cluster, w: &Workload) -> RunResult {
-    let (batch, metrics) = cluster.execute(&(w.make_plan)()).unwrap();
+    let (batch, metrics) = cluster
+        .execute(&(w.make_plan)(), ExecOpts::default())
+        .unwrap();
     (batch.rows().to_vec(), metrics.snapshot().fingerprint())
 }
 
@@ -375,5 +380,31 @@ fn killed_queries_leave_the_pool_and_counters_clean() {
             "{}: counters corrupted after kills",
             w.name
         );
+    }
+}
+
+/// `\jobs` progress ends exactly at its total: every serving shape, in
+/// both execution modes, finishes fault-free with `stages_done ==
+/// stages_total` — the predicted stage count is the number of dispatch
+/// gate passes the executor really makes.
+#[test]
+fn every_serving_shape_finishes_at_its_stage_total() {
+    let session = sample_session(200, 2).unwrap();
+    for mode in [ExecMode::Row, ExecMode::Columnar] {
+        session.execute(&format!("SET exec_mode = {mode}")).unwrap();
+        for shape in SHAPES {
+            let handle = session.submit(&(shape.sql)(1)).unwrap();
+            let id = handle.id();
+            handle
+                .wait()
+                .unwrap_or_else(|e| panic!("{} ({mode}) failed: {e}", shape.name));
+            let job = session.scheduler().job(id).unwrap();
+            assert_eq!(job.state, JobState::Done, "{} ({mode})", shape.name);
+            assert_eq!(
+                job.stages_done, job.stages_total,
+                "{} ({mode}): progress ended at {}/{}",
+                shape.name, job.stages_done, job.stages_total
+            );
+        }
     }
 }

@@ -175,7 +175,7 @@ fn ingest_between_identical_queries_is_never_stale() {
 /// post-restart serve recomputes over WAL-recovered data, ingest and
 /// all), and the plan cache repopulates on the first re-execution.
 #[test]
-fn tier_kill_and_restart_resumes_in_flight_execute_without_stale_reads() {
+fn tier_kill_and_restart_resumes_in_flight_execute_and_never_serves_stale_reads() {
     const PREPARE: &str =
         "PREPARE by_vendor AS SELECT COUNT(*) AS c FROM NYCTaxi n WHERE n.Vendor = $1";
     const COUNT_SQL: &str = "SELECT COUNT(*) AS c FROM NYCTaxi n";

@@ -11,7 +11,9 @@
 //! `CHAOS_SEEDS=<seed> cargo test --test spill_differential`.
 
 use fudj_repro::core::{EngineJoin, FudjEngineJoin, JoinAlgorithm, ProxyJoin};
-use fudj_repro::exec::{Cluster, FaultConfig, FudjJoinNode, MetricsSnapshot, PhysicalPlan};
+use fudj_repro::exec::{
+    Cluster, ExecOpts, FaultConfig, FudjJoinNode, MetricsSnapshot, PhysicalPlan,
+};
 use fudj_repro::geo::{Point, Polygon, Rect};
 use fudj_repro::joins::evil::EqualityFudj;
 use fudj_repro::joins::{IntervalFudj, SpatialFudj, TextSimilarityFudj};
@@ -223,7 +225,9 @@ fn run_on(
     w: &Workload,
     budget: Option<usize>,
 ) -> (Vec<(i64, i64)>, MetricsSnapshot) {
-    let (batch, metrics) = cluster.execute(&plan(w, budget)).unwrap();
+    let (batch, metrics) = cluster
+        .execute(&plan(w, budget), ExecOpts::default())
+        .unwrap();
     let mut pairs: Vec<(i64, i64)> = batch
         .rows()
         .iter()

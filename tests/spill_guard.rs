@@ -12,7 +12,7 @@
 use fudj_repro::core::{
     EngineJoin, FudjEngineJoin, GuardConfig, GuardedJoin, JoinAlgorithm, UdfPolicy,
 };
-use fudj_repro::exec::{Cluster, FudjJoinNode, PhysicalPlan};
+use fudj_repro::exec::{Cluster, ExecOpts, FudjJoinNode, PhysicalPlan};
 use fudj_repro::joins::evil::{EqualityFudj, EvilJoin, EvilMode, EvilPhase};
 use fudj_repro::joins::poisoned;
 use fudj_repro::storage::DatasetBuilder;
@@ -111,7 +111,7 @@ fn failfast_violation_mid_spill_leaves_no_litter() {
     // while spill files exist.
     let cluster = Cluster::new(WORKERS);
     let (batch, metrics) = cluster
-        .execute(&spilling_plan(EvilMode::Tame, "tame"))
+        .execute(&spilling_plan(EvilMode::Tame, "tame"), ExecOpts::default())
         .unwrap();
     assert!(!batch.is_empty());
     let snap = metrics.snapshot();
@@ -122,10 +122,10 @@ fn failfast_violation_mid_spill_leaves_no_litter() {
     assert_eq!(spill_litter(), Vec::<String>::new());
 
     // The actual regression: panic inside `verify` on poisoned keys.
-    let err = match cluster.execute(&spilling_plan(
-        EvilMode::PanicIn(EvilPhase::Verify),
-        "verify",
-    )) {
+    let err = match cluster.execute(
+        &spilling_plan(EvilMode::PanicIn(EvilPhase::Verify), "verify"),
+        ExecOpts::default(),
+    ) {
         Ok(_) => panic!("fail-fast must surface the verify violation"),
         Err(e) => e,
     };
@@ -146,10 +146,10 @@ fn failfast_violation_mid_spill_leaves_no_litter() {
 fn failfast_assign_violation_also_leaves_no_litter() {
     let _scan = exclusive_temp_dir();
     let cluster = Cluster::new(WORKERS);
-    let err = match cluster.execute(&spilling_plan(
-        EvilMode::PanicIn(EvilPhase::Assign),
-        "assign",
-    )) {
+    let err = match cluster.execute(
+        &spilling_plan(EvilMode::PanicIn(EvilPhase::Assign), "assign"),
+        ExecOpts::default(),
+    ) {
         Ok(_) => panic!("fail-fast must surface the assign violation"),
         Err(e) => e,
     };
